@@ -480,8 +480,7 @@ func (m *Manager) acquire(lockID uint32, interlock bool, deadline time.Time) (Gr
 		if deadline.IsZero() {
 			m.cond.Wait()
 		} else {
-			// sync.Cond has no timed wait; a timer broadcast bounds it.
-			t := time.AfterFunc(time.Until(deadline), m.cond.Broadcast)
+			t := m.wakeAt(deadline)
 			m.cond.Wait()
 			t.Stop()
 		}
@@ -811,11 +810,24 @@ func (m *Manager) AwaitApplied(lockID uint32, writeSeq uint64, d time.Duration) 
 		if m.closed || time.Now().After(deadline) {
 			return false
 		}
-		t := time.AfterFunc(time.Until(deadline), m.cond.Broadcast)
+		t := m.wakeAt(deadline)
 		m.cond.Wait()
 		t.Stop()
 	}
 	return true
+}
+
+// wakeAt arms a timer that broadcasts m.cond at deadline, bounding a
+// cond wait (sync.Cond has no timed wait). The caller holds m.mu until
+// Wait enrols it; the callback takes m.mu before broadcasting, so a
+// timer that fires early cannot broadcast into the gap before Wait and
+// leave the waiter asleep forever.
+func (m *Manager) wakeAt(deadline time.Time) *time.Timer {
+	return time.AfterFunc(time.Until(deadline), func() {
+		m.mu.Lock()
+		m.cond.Broadcast()
+		m.mu.Unlock()
+	})
 }
 
 // --- Crash-recovery surgery ----------------------------------------------

@@ -2,6 +2,7 @@ package lockmgr
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,7 +42,7 @@ func awaitLockState(t *testing.T, m *Manager, lockID uint32, pred func(st *lockS
 		if time.Now().After(deadline) {
 			t.Fatal("lock state condition not reached")
 		}
-		tm := time.AfterFunc(10*time.Millisecond, m.cond.Broadcast)
+		tm := m.wakeAt(time.Now().Add(10 * time.Millisecond))
 		m.cond.Wait()
 		tm.Stop()
 	}
@@ -498,5 +499,51 @@ func TestLockWaitCounterAccrues(t *testing.T) {
 	<-done
 	if ms[1].Stats().Counter("lock_wait_ns") < int64(10*time.Millisecond) {
 		t.Fatalf("lock wait = %dns", ms[1].Stats().Counter("lock_wait_ns"))
+	}
+}
+
+// TestAwaitAppliedShortDeadlinesReturn drives AwaitApplied with
+// deadlines of a few microseconds on a sequence that is never applied,
+// while a collector loop keeps preempting the waiters. A waiter
+// preempted between arming its timeout and enrolling in the cond wait
+// can see the timer fire in that gap; each call must still return
+// false promptly rather than sleep on a broadcast that was already
+// spent. Every waiter has its own manager, so no other waiter's
+// broadcast can rescue it.
+func TestAwaitAppliedShortDeadlinesReturn(t *testing.T) {
+	const workers, calls = 8, 2500
+	var stop atomic.Bool
+	gcDone := make(chan struct{})
+	go func() {
+		defer close(gcDone)
+		for !stop.Load() {
+			runtime.GC()
+		}
+	}()
+	defer func() { stop.Store(true); <-gcDone }()
+	done := make(chan int, workers)
+	for w := 0; w < workers; w++ {
+		m := cluster(t, 1)[0]
+		go func(w int) {
+			timedOut := 0
+			for i := 0; i < calls; i++ {
+				d := time.Duration(1+(i*7+w)%50) * time.Microsecond
+				if !m.AwaitApplied(1, 1<<40, d) {
+					timedOut++
+				}
+			}
+			done <- timedOut
+		}(w)
+	}
+	deadline := time.After(10 * time.Second)
+	for w := 0; w < workers; w++ {
+		select {
+		case n := <-done:
+			if n != calls {
+				t.Fatalf("%d of %d calls returned true on an unapplied sequence", calls-n, calls)
+			}
+		case <-deadline:
+			t.Fatal("AwaitApplied slept past its deadline (lost timer wakeup)")
+		}
 	}
 }

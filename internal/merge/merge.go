@@ -12,8 +12,9 @@
 package merge
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lbc/internal/wal"
 )
@@ -44,103 +45,198 @@ func Merge(inputs ...wal.Device) ([]*wal.TxRecord, error) {
 // Records with an identical (node, commit-seq) identity are collapsed
 // to one: a client that retries an ambiguous append after a storage
 // failover can legitimately write the same record twice, and replay
-// must stay idempotent under that at-least-once behaviour.
+// must stay idempotent under that at-least-once behaviour. The first
+// copy in input order is kept.
+//
+// The cost is O(n log n) in the records and their lock entries: one
+// sort ranks the records by identity, one sorts the lock entries into
+// per-lock chains, and Kahn's algorithm pops the ready records from a
+// binary min-heap keyed by that rank.
 func Order(all []*wal.TxRecord) ([]*wal.TxRecord, error) {
-	type identity struct {
+	// Rank by identity (node, per-node commit seq), breaking ties by
+	// input position so the first copy of a duplicate comes first.
+	type key struct {
 		node uint32
+		pos  int32
 		seq  uint64
 	}
-	seen := make(map[identity]bool, len(all))
-	deduped := all[:0:0]
-	for _, tx := range all {
-		id := identity{node: tx.Node, seq: tx.TxSeq}
-		if seen[id] {
+	keys := make([]key, len(all))
+	for i, tx := range all {
+		keys[i] = key{node: tx.Node, pos: int32(i), seq: tx.TxSeq}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.node, b.node); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.seq, b.seq); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	// recs[i] is the record of rank i: the heap key below is the index.
+	recs := make([]*wal.TxRecord, 0, len(all))
+	nrefs := 0
+	for k, id := range keys {
+		if k > 0 && id.node == keys[k-1].node && id.seq == keys[k-1].seq {
 			continue
 		}
-		seen[id] = true
-		deduped = append(deduped, tx)
+		tx := all[id.pos]
+		recs = append(recs, tx)
+		nrefs += len(tx.Locks)
 	}
-	all = deduped
 
-	// Group records per lock and sort by that lock's sequence number;
-	// consecutive pairs become ordering edges.
+	// Sort every lock entry into its lock's chain by sequence number;
+	// consecutive entries of one chain become ordering edges.
 	type ref struct {
-		idx int
-		seq uint64
+		lock uint32
+		idx  int32
+		seq  uint64
 	}
-	perLock := map[uint32][]ref{}
-	for i, tx := range all {
+	refs := make([]ref, 0, nrefs)
+	for i, tx := range recs {
 		for _, l := range tx.Locks {
-			perLock[l.LockID] = append(perLock[l.LockID], ref{idx: i, seq: l.Seq})
+			refs = append(refs, ref{lock: l.LockID, idx: int32(i), seq: l.Seq})
+		}
+	}
+	slices.SortFunc(refs, func(a, b ref) int {
+		if c := cmp.Compare(a.lock, b.lock); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.seq, b.seq); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+
+	// Successor lists in compressed form: succ[first[i]:first[i+1]]
+	// are the records that must follow record i.
+	first := make([]int32, len(recs)+1)
+	indeg := make([]int32, len(recs))
+	for k := 1; k < len(refs); k++ {
+		prev, cur := refs[k-1], refs[k]
+		if cur.lock != prev.lock {
+			continue
+		}
+		if cur.seq == prev.seq {
+			a, b := recs[prev.idx], recs[cur.idx]
+			return nil, fmt.Errorf(
+				"merge: lock %d acquired twice at sequence %d (tx %d/%d and %d/%d): corrupt logs",
+				cur.lock, cur.seq, a.Node, a.TxSeq, b.Node, b.TxSeq)
+		}
+		first[prev.idx+1]++
+		indeg[cur.idx]++
+	}
+	for i := 1; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	succ := make([]int32, first[len(recs)])
+	fill := slices.Clone(first[:len(recs)])
+	for k := 1; k < len(refs); k++ {
+		if prev := refs[k-1]; refs[k].lock == prev.lock {
+			succ[fill[prev.idx]] = refs[k].idx
+			fill[prev.idx]++
 		}
 	}
 
-	succs := make([][]int, len(all))
-	indeg := make([]int, len(all))
-	for lockID, refs := range perLock {
-		sort.Slice(refs, func(i, j int) bool { return refs[i].seq < refs[j].seq })
-		for k := 1; k < len(refs); k++ {
-			if refs[k].seq == refs[k-1].seq {
-				a, b := all[refs[k-1].idx], all[refs[k].idx]
-				return nil, fmt.Errorf(
-					"merge: lock %d acquired twice at sequence %d (tx %d/%d and %d/%d): corrupt logs",
-					lockID, refs[k].seq, a.Node, a.TxSeq, b.Node, b.TxSeq)
-			}
-			succs[refs[k-1].idx] = append(succs[refs[k-1].idx], refs[k].idx)
-			indeg[refs[k].idx]++
+	// Kahn's algorithm, always emitting the ready record of lowest
+	// rank. Ranks are pushed in ascending order here, which already is
+	// a valid heap.
+	var ready minHeap
+	for i, d := range indeg {
+		if d == 0 {
+			ready = append(ready, int32(i))
 		}
 	}
-
-	// Kahn's algorithm with a deterministic ready heap ordered by
-	// (node, per-node commit seq).
-	less := func(i, j int) bool {
-		if all[i].Node != all[j].Node {
-			return all[i].Node < all[j].Node
-		}
-		return all[i].TxSeq < all[j].TxSeq
-	}
-	var ready []int
-	push := func(i int) {
-		ready = append(ready, i)
-		sort.Slice(ready, func(a, b int) bool { return less(ready[a], ready[b]) })
-	}
-	for i := range all {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	sort.Slice(ready, func(a, b int) bool { return less(ready[a], ready[b]) })
-
-	out := make([]*wal.TxRecord, 0, len(all))
+	out := make([]*wal.TxRecord, 0, len(recs))
 	for len(ready) > 0 {
-		i := ready[0]
-		ready = ready[1:]
-		out = append(out, all[i])
-		for _, s := range succs[i] {
+		i := ready.pop()
+		out = append(out, recs[i])
+		for _, s := range succ[first[i]:first[i+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				push(s)
+				ready.push(s)
 			}
 		}
 	}
-	if len(out) != len(all) {
+	if len(out) != len(recs) {
 		return nil, fmt.Errorf("merge: ordering cycle across %d records (logs are inconsistent)",
-			len(all)-len(out))
+			len(recs)-len(out))
 	}
 	return out, nil
 }
 
+// minHeap is a binary min-heap of record ranks.
+type minHeap []int32
+
+func (h *minHeap) push(x int32) {
+	s := append(*h, x)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+	*h = s
+}
+
+func (h *minHeap) pop() int32 {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && s[c+1] < s[c] {
+			c++
+		}
+		if s[i] <= s[c] {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
+}
+
+// outputChunk bounds one Append of the merged log: MergeTo packs whole
+// records back to back into appends of at most this many bytes (a
+// record larger than the chunk gets an append of its own).
+const outputChunk = 1 << 20
+
 // MergeTo merges the inputs and appends the ordered records to out in
 // the standard encoding, returning the number of records written. The
-// output log can then be fed to rvm.Recover unchanged.
+// output log can then be fed to rvm.Recover unchanged. The records are
+// written in record-aligned chunks of up to outputChunk bytes from one
+// buffer sized up front, then synced once.
 func MergeTo(out wal.Device, inputs ...wal.Device) (int, error) {
 	txs, err := Merge(inputs...)
 	if err != nil {
 		return 0, err
 	}
-	var buf []byte
+	total, largest := 0, 0
 	for _, tx := range txs {
-		buf = wal.AppendStandard(buf[:0], tx)
+		n := wal.StandardSize(tx)
+		total += n
+		largest = max(largest, n)
+	}
+	buf := make([]byte, 0, max(min(total, outputChunk), largest))
+	for _, tx := range txs {
+		if len(buf) > 0 && len(buf)+wal.StandardSize(tx) > outputChunk {
+			if _, err := out.Append(buf); err != nil {
+				return 0, fmt.Errorf("merge: append output: %w", err)
+			}
+			buf = buf[:0]
+		}
+		buf = wal.AppendStandard(buf, tx)
+	}
+	if len(buf) > 0 {
 		if _, err := out.Append(buf); err != nil {
 			return 0, fmt.Errorf("merge: append output: %w", err)
 		}

@@ -96,7 +96,7 @@ type Engine struct {
 	waiting    map[uint32][]parkedRec // parked records by blocking lock, ascending prev
 	waitCount  int
 	pending    map[ident]struct{} // identities queued or in flight
-	senderSeq  map[uint32]uint64  // highest installed TxSeq per sender
+	senderSeq  map[uint32]uint64  // highest installed lock-free TxSeq per sender
 	senderBusy map[uint32]bool    // sender has a lock-free record scheduled
 	senderQ    map[uint32][]*wal.TxRecord
 	inflight   int
@@ -297,15 +297,19 @@ func (e *Engine) worker(id int) {
 }
 
 // completeLocked publishes a record's completion: clears its identity,
-// advances the per-sender high-water mark, releases the sender queue,
-// and wakes exactly the waiters parked on the record's written locks.
+// advances the per-sender high-water mark of a lock-free record,
+// releases the sender queue, and wakes exactly the waiters parked on
+// the record's written locks. The high-water mark tracks only the
+// lock-free stream it guards (staleLocked): a lock-bearing record may
+// install ahead of the same sender's earlier lock-free one, which must
+// not then be dropped as stale.
 func (e *Engine) completeLocked(rec *wal.TxRecord, err error) []*wal.TxRecord {
 	delete(e.pending, ident{rec.Node, rec.TxSeq})
-	if err == nil && rec.TxSeq > e.senderSeq[rec.Node] {
-		e.senderSeq[rec.Node] = rec.TxSeq
-	}
 	var drops []*wal.TxRecord
 	if !wroteLocks(rec) {
+		if err == nil && rec.TxSeq > e.senderSeq[rec.Node] {
+			e.senderSeq[rec.Node] = rec.TxSeq
+		}
 		// Dispatch the sender's next queued record (dropping any that
 		// became stale while queued).
 		q := e.senderQ[rec.Node]

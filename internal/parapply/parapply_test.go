@@ -218,6 +218,22 @@ func TestLockFreeDuplicateStale(t *testing.T) {
 	}
 }
 
+// TestLockFreeAfterLockBearingSameSender installs a sender's
+// lock-bearing tx 5 before its lock-free tx 4. The per-sender
+// high-water mark guards only the lock-free stream, so tx 4 is not
+// stale and must still install.
+func TestLockFreeAfterLockBearingSameSender(t *testing.T) {
+	h := newHarness(2)
+	defer h.eng.Close()
+	h.eng.Submit(lockRec(1, 5, 7, 1))
+	h.waitSettled(t)
+	h.eng.Submit(freeRec(1, 4))
+	h.waitSettled(t)
+	if got := h.installOrder(); len(got) != 2 || got[1] != (ident{1, 4}) {
+		t.Fatalf("install order %v, want lock-free tx 1/4 installed after 1/5", got)
+	}
+}
+
 func TestWakeLocksReleasesWaiter(t *testing.T) {
 	h := newHarness(2)
 	defer h.eng.Close()

@@ -83,7 +83,8 @@ func Recover(log wal.Device, data DataStore, opts RecoverOptions) (*RecoverResul
 	// Pass one: stream the whole log to find the last checkpoint marker
 	// and pre-size every image the tail replay touches, so the parallel
 	// install phase never reallocates a region (workers copy into
-	// stable backing arrays).
+	// stable backing arrays). It keeps no record, so it scans views
+	// that alias the scanner's buffer instead of copying range data.
 	rc, err := log.Open(0)
 	if err != nil {
 		return nil, fmt.Errorf("rvm: open log for recovery: %w", err)
@@ -96,7 +97,7 @@ func Recover(log wal.Device, data DataStore, opts RecoverOptions) (*RecoverResul
 	need := map[uint32]uint64{} // region -> required image size
 	var tailRecords, skipped int
 	for {
-		tx, err := sc.Next()
+		tx, err := sc.NextView()
 		if err == io.EOF {
 			break
 		}

@@ -185,6 +185,14 @@ func (d *FileDevice) Close() error { return d.f.Close() }
 // models volatility: Sync advances a durable watermark, and
 // CrashUnsynced discards everything above it — the fate of no-flush
 // commits in a crash.
+//
+// Open hands out a snapshot without copying: the reader sees the log
+// as it was at Open, over a capacity-capped subslice of the live
+// buffer. Appends only ever write past a reader's end, and the calls
+// that shrink the log (Truncate, Reset, CrashUnsynced) cap the buffer
+// at its new length, so the next Append reallocates rather than
+// overwrite bytes an open reader may still read. TrimHead copies the
+// tail into a new buffer.
 type MemDevice struct {
 	mu     sync.Mutex
 	buf    []byte
@@ -218,7 +226,7 @@ func (d *MemDevice) Sync() error {
 func (d *MemDevice) CrashUnsynced() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buf = d.buf[:d.synced]
+	d.buf = d.buf[:d.synced:d.synced]
 }
 
 // Syncs returns how many times Sync has been called.
@@ -235,16 +243,16 @@ func (d *MemDevice) Size() (int64, error) {
 	return int64(len(d.buf)), nil
 }
 
-// Open implements Device.
+// Open implements Device. The reader is a snapshot of [from, Size())
+// at the time of the call (see MemDevice).
 func (d *MemDevice) Open(from int64) (io.ReadCloser, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if from > int64(len(d.buf)) {
 		return nil, fmt.Errorf("wal: offset %d beyond log end %d", from, len(d.buf))
 	}
-	cp := make([]byte, int64(len(d.buf))-from)
-	copy(cp, d.buf[from:])
-	return io.NopCloser(bytes.NewReader(cp)), nil
+	n := len(d.buf)
+	return io.NopCloser(bytes.NewReader(d.buf[from:n:n])), nil
 }
 
 // Truncate implements Device.
@@ -254,7 +262,7 @@ func (d *MemDevice) Truncate(size int64) error {
 	if size > int64(len(d.buf)) {
 		return fmt.Errorf("wal: truncate %d beyond log end %d", size, len(d.buf))
 	}
-	d.buf = d.buf[:size]
+	d.buf = d.buf[:size:size]
 	if d.synced > len(d.buf) {
 		d.synced = len(d.buf)
 	}

@@ -43,6 +43,11 @@ type CorruptRange struct {
 // beyond it ends the scan with *InteriorCorruptionError instead, unless
 // salvage mode is enabled, in which case the damaged range is recorded
 // and iteration continues at the next sound record.
+//
+// The read buffer is reused across records: reads land in its spare
+// capacity, consumed bytes are compacted away in place, and it only
+// grows (doubling) when a record or a corruption probe needs more
+// than it holds.
 type Scanner struct {
 	r       io.Reader
 	base    int64 // stream offset of buf[0]
@@ -53,7 +58,12 @@ type Scanner struct {
 	tornAt  int64
 	salvage bool
 	holes   []CorruptRange
+	view    TxRecord // NextView's record, and probeSound's scratch
 }
+
+// readChunk is the least free space a read is given: the buffer
+// doubles when less than this is left past its data.
+const readChunk = 64 << 10
 
 // NewScanner returns a Scanner reading records from r. base is the
 // log offset corresponding to the start of r (pass 0 when reading from
@@ -75,15 +85,36 @@ func (s *Scanner) Corrupt() []CorruptRange { return s.holes }
 // *InteriorCorruptionError (match with errors.Is(err,
 // ErrInteriorCorruption)) unless salvage mode is on.
 func (s *Scanner) Next() (*TxRecord, error) {
+	tx := &TxRecord{}
+	if err := s.scan(tx, false); err != nil {
+		return nil, err
+	}
+	return tx, nil
+}
+
+// NextView is Next without the copies, for scans that read record
+// metadata and keep nothing: the returned record belongs to the
+// scanner and is overwritten by the next call, and its range Data
+// alias the read buffer, which the next call may also overwrite.
+// Checksums and corruption handling are exactly those of Next.
+func (s *Scanner) NextView() (*TxRecord, error) {
+	if err := s.scan(&s.view, true); err != nil {
+		return nil, err
+	}
+	return &s.view, nil
+}
+
+// scan decodes the next record into tx (see decodeStandard for view).
+func (s *Scanner) scan(tx *TxRecord, view bool) error {
 	if s.err != nil {
-		return nil, s.err
+		return s.err
 	}
 	for {
-		tx, n, err := DecodeStandard(s.buf[s.pos:])
+		n, err := decodeStandard(s.buf[s.pos:], tx, view)
 		switch {
 		case err == nil:
 			s.pos += n
-			return tx, nil
+			return nil
 		case errors.Is(err, ErrTruncated):
 			if readErr := s.fill(); readErr != nil {
 				if readErr == io.EOF {
@@ -93,10 +124,10 @@ func (s *Scanner) Next() (*TxRecord, error) {
 						s.tornAt = s.base + int64(s.pos)
 					}
 					s.err = io.EOF
-					return nil, io.EOF
+					return io.EOF
 				}
 				s.err = fmt.Errorf("wal: read log: %w", readErr)
-				return nil, s.err
+				return s.err
 			}
 		case errors.Is(err, ErrBadCRC) || errors.Is(err, ErrBadMagic):
 			// Probe forward: a complete record past the damage means
@@ -105,25 +136,25 @@ func (s *Scanner) Next() (*TxRecord, error) {
 			at, ok, probeErr := s.probeSound()
 			if probeErr != nil {
 				s.err = fmt.Errorf("wal: read log: %w", probeErr)
-				return nil, s.err
+				return s.err
 			}
 			if !ok {
 				s.torn = true
 				s.tornAt = s.base + int64(s.pos)
 				s.err = io.EOF
-				return nil, io.EOF
+				return io.EOF
 			}
 			from := s.base + int64(s.pos)
 			to := s.base + int64(at)
 			if !s.salvage {
 				s.err = &InteriorCorruptionError{Offset: from, Resume: to}
-				return nil, s.err
+				return s.err
 			}
 			s.holes = append(s.holes, CorruptRange{From: from, To: to})
 			s.pos = at
 		default:
 			s.err = err
-			return nil, err
+			return err
 		}
 	}
 }
@@ -148,7 +179,7 @@ func (s *Scanner) probeSound() (at int, ok bool, err error) {
 			probe++
 			continue
 		}
-		_, _, derr := DecodeStandard(s.buf[probe:])
+		_, derr := decodeStandard(s.buf[probe:], &s.view, true)
 		switch {
 		case derr == nil:
 			return probe, true, nil
@@ -181,13 +212,18 @@ func (s *Scanner) fill() error {
 	return s.more()
 }
 
-// more appends the next chunk of the stream to the buffer without
-// compacting, so probe indices into buf stay valid.
+// more reads the next chunk of the stream into the buffer's spare
+// capacity without compacting, so probe indices into buf stay valid.
+// The buffer doubles first when less than readChunk is free.
 func (s *Scanner) more() error {
-	chunk := make([]byte, 64<<10)
-	n, err := s.r.Read(chunk)
+	if cap(s.buf)-len(s.buf) < readChunk {
+		grown := make([]byte, len(s.buf), max(2*cap(s.buf), len(s.buf)+readChunk))
+		copy(grown, s.buf)
+		s.buf = grown
+	}
+	n, err := s.r.Read(s.buf[len(s.buf):cap(s.buf)])
 	if n > 0 {
-		s.buf = append(s.buf, chunk[:n]...)
+		s.buf = s.buf[:len(s.buf)+n]
 		return nil
 	}
 	if err == nil {

@@ -123,38 +123,54 @@ func AppendStandard(buf []byte, tx *TxRecord) []byte {
 // ErrTruncated when b holds a prefix of a record (a torn tail) and
 // ErrBadCRC / ErrBadMagic on corruption.
 func DecodeStandard(b []byte) (*TxRecord, int, error) {
+	tx := &TxRecord{}
+	n, err := decodeStandard(b, tx, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	return tx, n, nil
+}
+
+// decodeStandard decodes one standard entry from the front of b into
+// tx. With view set it reuses the backing arrays of tx.Locks and
+// tx.Ranges and points range Data into b instead of copying it; the
+// checksum and structure are verified either way.
+func decodeStandard(b []byte, tx *TxRecord, view bool) (int, error) {
 	if len(b) < entryHeaderLen {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	if binary.LittleEndian.Uint32(b[0:]) != txMagic {
-		return nil, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	if v := binary.LittleEndian.Uint16(b[4:]); v != walVersion {
-		return nil, 0, fmt.Errorf("wal: unsupported version %d", v)
+		return 0, fmt.Errorf("wal: unsupported version %d", v)
 	}
 	flags := binary.LittleEndian.Uint16(b[6:])
-	tx := &TxRecord{
-		Node:       binary.LittleEndian.Uint32(b[8:]),
-		TxSeq:      binary.LittleEndian.Uint64(b[12:]),
-		Checkpoint: flags&flagCheckpoint != 0,
-	}
 	nLocks := binary.LittleEndian.Uint32(b[20:])
 	nRanges := binary.LittleEndian.Uint32(b[24:])
 	bodyLen := binary.LittleEndian.Uint64(b[28:])
 	total := entryHeaderLen + int(bodyLen) + 4
 	if bodyLen > 1<<40 || len(b) < total {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	wantCRC := binary.LittleEndian.Uint32(b[total-4:])
 	if crc32.ChecksumIEEE(b[:total-4]) != wantCRC {
-		return nil, 0, ErrBadCRC
+		return 0, ErrBadCRC
 	}
 
+	tx.Node = binary.LittleEndian.Uint32(b[8:])
+	tx.TxSeq = binary.LittleEndian.Uint64(b[12:])
+	tx.Checkpoint = flags&flagCheckpoint != 0
+	tx.CheckpointLSN = 0
 	p := entryHeaderLen
 	if int(nLocks)*lockRecLen > int(bodyLen) {
-		return nil, 0, fmt.Errorf("wal: lock section overruns body")
+		return 0, fmt.Errorf("wal: lock section overruns body")
 	}
-	tx.Locks = make([]LockRec, nLocks)
+	if view && cap(tx.Locks) >= int(nLocks) {
+		tx.Locks = tx.Locks[:nLocks]
+	} else {
+		tx.Locks = make([]LockRec, nLocks)
+	}
 	for i := range tx.Locks {
 		tx.Locks[i] = LockRec{
 			LockID:       binary.LittleEndian.Uint32(b[p:]),
@@ -164,38 +180,45 @@ func DecodeStandard(b []byte) (*TxRecord, int, error) {
 		}
 		p += lockRecLen
 	}
-	tx.Ranges = make([]RangeRec, 0, nRanges)
+	if view && cap(tx.Ranges) >= int(nRanges) {
+		tx.Ranges = tx.Ranges[:0]
+	} else {
+		tx.Ranges = make([]RangeRec, 0, nRanges)
+	}
 	for i := uint32(0); i < nRanges; i++ {
 		if p+StdRangeHeaderLen > total-4 {
-			return nil, 0, fmt.Errorf("wal: range header overruns body")
+			return 0, fmt.Errorf("wal: range header overruns body")
 		}
 		if binary.LittleEndian.Uint32(b[p:]) != rangeMagic {
-			return nil, 0, ErrBadMagic
+			return 0, ErrBadMagic
 		}
 		region := binary.LittleEndian.Uint32(b[p+4:])
 		dataLen := int(binary.LittleEndian.Uint32(b[p+8:]))
 		off := binary.LittleEndian.Uint64(b[p+12:])
 		p += StdRangeHeaderLen
 		if p+dataLen > total-4 {
-			return nil, 0, fmt.Errorf("wal: range data overruns body")
+			return 0, fmt.Errorf("wal: range data overruns body")
 		}
-		data := make([]byte, dataLen)
-		copy(data, b[p:p+dataLen])
+		data := b[p : p+dataLen : p+dataLen]
+		if !view {
+			data = make([]byte, dataLen)
+			copy(data, b[p:p+dataLen])
+		}
 		p += dataLen
 		tx.Ranges = append(tx.Ranges, RangeRec{Region: region, Off: off, Data: data})
 	}
 	if flags&flagCkptLSN != 0 {
 		if p+ckptLSNLen > total-4 {
-			return nil, 0, fmt.Errorf("wal: checkpoint LSN overruns body")
+			return 0, fmt.Errorf("wal: checkpoint LSN overruns body")
 		}
 		tx.CheckpointLSN = binary.LittleEndian.Uint64(b[p:])
 		p += ckptLSNLen
 	}
 	if p != total-4 {
-		return nil, 0, fmt.Errorf("wal: body length mismatch (%d != %d)", p, total-4)
+		return 0, fmt.Errorf("wal: body length mismatch (%d != %d)", p, total-4)
 	}
 	if err := tx.validate(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return tx, total, nil
+	return total, nil
 }
